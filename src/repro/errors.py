@@ -138,10 +138,6 @@ class NoSpace(StorageError):
     """Device or dataspace capacity exhausted (ENOSPC)."""
 
 
-class BadFileDescriptor(StorageError):
-    """Operation on a closed or invalid handle (EBADF)."""
-
-
 class DataCorruption(StorageError):
     """Fingerprint mismatch detected on read-back of synthetic content."""
 
@@ -225,10 +221,6 @@ class UnknownWorkflow(SlurmError):
 
 class InvalidDependency(SlurmError):
     """Workflow dependency references a missing job or forms a cycle."""
-
-
-class AllocationError(SlurmError):
-    """Requested resources can never be satisfied by the partition."""
 
 
 class StagingFailure(SlurmError):

@@ -221,10 +221,17 @@ def execute_run(spec: RunSpec) -> RunResult:
                        metrics=metrics, info=info,
                        report_text=report.to_text(),
                        job_metrics=job_rows)
-    if report.kernel_stats is not None:
+    if report.registry is not None:
         # Deterministic kernel counters ride in runstats (kept out of
         # the merged FleetReport text, rendered by `sweep --perf`).
-        result.runstats["kernel"] = dict(report.kernel_stats)
+        # They come from the finalize-time registry snapshot: a fresh
+        # ``sim.stats()`` would also count the timeouts the replay's
+        # fault injector cancelled after finalize.
+        kernel = {inst.name.removeprefix("kernel."): inst.value
+                  for inst in report.registry
+                  if inst.name.startswith("kernel.")}
+        kernel["kernel"] = kernel.pop("impl")
+        result.runstats["kernel"] = kernel
     if tracer is not None:
         from repro.obs.export import metrics_jsonl, spans_jsonl
         tracer.close_open()

@@ -27,7 +27,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.collect import (
     collect_cluster,
     collect_kernel,
-    collect_kernel_stats,
     collect_replay,
     collect_resilience,
     collect_scheduler,
@@ -47,7 +46,6 @@ __all__ = [
     "MetricsRegistry",
     "collect_cluster",
     "collect_kernel",
-    "collect_kernel_stats",
     "collect_replay",
     "collect_resilience",
     "collect_scheduler",

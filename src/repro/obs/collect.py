@@ -35,7 +35,6 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "collect_kernel",
-    "collect_kernel_stats",
     "collect_scheduler",
     "collect_urds",
     "collect_resilience",
@@ -66,14 +65,9 @@ _URD_FIELDS = (
 )
 
 
-def collect_kernel(reg: MetricsRegistry, sim) -> None:
-    """Event-kernel counters from :meth:`Simulator.stats`."""
-    collect_kernel_stats(reg, sim.stats())
-
-
-def collect_kernel_stats(reg: MetricsRegistry, stats) -> None:
-    """Kernel counters from an already-captured ``stats()`` dict (the
-    form fleet artifacts persist in ``runstats.json``)."""
+def collect_kernel(reg: MetricsRegistry, stats) -> None:
+    """Event-kernel counters from a :meth:`Simulator.stats` dict (also
+    the form fleet artifacts persist in ``runstats.json``)."""
     for key in sorted(stats):
         value = stats[key]
         if key == "kernel":
@@ -136,7 +130,7 @@ def collect_replay(reg: MetricsRegistry, report) -> None:
 
 def collect_cluster(reg: MetricsRegistry, handle) -> MetricsRegistry:
     """Everything reachable from a :class:`ClusterHandle`."""
-    collect_kernel(reg, handle.sim)
+    collect_kernel(reg, handle.sim.stats())
     collect_scheduler(reg, handle.ctld)
     collect_urds(reg, handle)
     collect_resilience(reg, handle)

@@ -31,7 +31,6 @@ from repro.sim.resources import Container, Resource, Store
 from repro.sim.flows import Flow, FlowScheduler, CapacityConstraint, \
     ReferenceFlowScheduler
 from repro.sim.rng import RngRegistry
-from repro.sim.monitor import Monitor, Counter, TimeSeries
 
 __all__ = [
     "Simulator",
@@ -51,7 +50,4 @@ __all__ = [
     "CapacityConstraint",
     "TimeoutHandle",
     "RngRegistry",
-    "Monitor",
-    "Counter",
-    "TimeSeries",
 ]

@@ -63,7 +63,7 @@ import heapq
 import itertools
 import os
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.errors import Interrupted, InvalidEventState, SimError, SimulationEnded
 
@@ -281,7 +281,6 @@ class Process(Event):
             return
         self._waiting_on = None
         sim = self.sim
-        sim._active_process = self
         event: Any = trigger
         while True:
             try:
@@ -290,18 +289,15 @@ class Process(Event):
                 else:
                     target = self._throw(event._value)
             except StopIteration as stop:
-                sim._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
                 self.fail(exc)
                 return
 
             if target.__class__ is not Event and not isinstance(target, Event):
-                sim._active_process = None
                 bad = SimError(
                     f"process {self.name!r} yielded {target!r}; "
                     "processes must yield Event instances"
@@ -309,7 +305,6 @@ class Process(Event):
                 self.fail(bad)
                 return
             if target.sim is not sim:
-                sim._active_process = None
                 self.fail(SimError("yielded event belongs to another simulator"))
                 return
 
@@ -327,7 +322,6 @@ class Process(Event):
                 cbs.append(self._resume_cb)
             else:
                 target.callbacks = [cbs, self._resume_cb]
-            sim._active_process = None
             return
 
 
@@ -412,7 +406,6 @@ class Simulator:
         self._urgent_buckets: Dict[float, deque] = {}
         self._due: deque = deque()
         self._due_urgent: deque = deque()
-        self._active_process: Optional[Process] = None
         self._event_count = 0
         #: calendar accounting (see :meth:`stats`): cancelled entries
         #: still parked, cancelled entries skipped at pop, compaction
@@ -552,10 +545,6 @@ class Simulator:
     def process(self, gen: Generator, name: str = "") -> Process:
         """Start a new process from a generator at the current instant."""
         return Process(self, gen, name)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- execution ----------------------------------------------------
     def peek(self) -> float:
@@ -866,7 +855,6 @@ class ReferenceSimulator(Simulator):
         self.now = float(start)
         self._heap: List[tuple] = []
         self._seq = itertools.count()
-        self._active_process = None
         self._event_count = 0
         self._defunct_pending = 0
         self._defunct_skips = 0
@@ -976,17 +964,20 @@ class ReferenceSimulator(Simulator):
 FastSimulator = Simulator
 
 
+_KERNELS = {"": FastSimulator, "fast": FastSimulator,
+            "reference": ReferenceSimulator}
+
+
 def kernel_from_env(value: Optional[str]) -> type:
-    """Map a ``REPRO_KERNEL`` setting to a kernel class."""
-    return (ReferenceSimulator
-            if (value or "").strip().lower() == "reference"
-            else FastSimulator)
+    """Map a ``REPRO_KERNEL`` setting (unset, empty, ``fast`` or
+    ``reference``; stripped, case-insensitive) to a kernel class.  Any
+    other value raises, so a typo cannot quietly run the wrong kernel."""
+    kernel = _KERNELS.get((value or "").strip().lower())
+    if kernel is None:
+        raise SimError(f"unknown REPRO_KERNEL {value!r}; "
+                       "expected 'fast' or 'reference'")
+    return kernel
 
 
 if kernel_from_env(os.environ.get("REPRO_KERNEL")) is ReferenceSimulator:
     Simulator = ReferenceSimulator  # type: ignore[misc]  # noqa: F811
-
-
-def iter_processes(sim: Simulator, gens: Iterable[Generator]) -> list[Process]:
-    """Convenience: start one process per generator, return them all."""
-    return [sim.process(g) for g in gens]

@@ -66,7 +66,7 @@ class CapacityConstraint:
 
     ``load`` is maintained incrementally by the scheduler whenever the
     rates of the flows crossing this constraint change, so reading it
-    (e.g. for monitor sampling) is O(1) and never scans flows.
+    is O(1) and never scans flows.
     """
 
     __slots__ = ("name", "capacity", "_flows", "_load", "_component")

@@ -9,8 +9,7 @@ A simulated Slurm with the paper's additions:
   ``workflow-prior-dependency``.
 * :mod:`repro.slurm.workflow` — workflow IDs, unit-level status,
   cancel-on-failure semantics.
-* :mod:`repro.slurm.scheduler` — priority aging (workflow-aware) +
-  the standalone EASY backfill facade over node allocations.
+* :mod:`repro.slurm.scheduler` — priority aging (workflow-aware).
 * :mod:`repro.slurm.policies` — the pluggable scheduling engine:
   policy interface + registry (fifo / backfill / conservative /
   staging-aware) and the incremental :class:`SchedulerState` that
@@ -30,7 +29,7 @@ from repro.slurm.job import (
 )
 from repro.slurm.script import parse_batch_script
 from repro.slurm.workflow import Workflow, WorkflowManager, WorkflowStatus
-from repro.slurm.scheduler import PriorityCalculator, BackfillScheduler
+from repro.slurm.scheduler import PriorityCalculator
 from repro.slurm.policies import (
     ScheduleDecision, SchedulerState, SchedulingPolicy,
     available_policies, create_policy, register_policy,
@@ -46,7 +45,7 @@ __all__ = [
     "StepContext",
     "parse_batch_script",
     "Workflow", "WorkflowManager", "WorkflowStatus",
-    "PriorityCalculator", "BackfillScheduler",
+    "PriorityCalculator",
     "SchedulingPolicy", "SchedulerState", "ScheduleDecision",
     "register_policy", "create_policy", "available_policies",
     "NodeSelector",

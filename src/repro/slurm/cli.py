@@ -389,7 +389,7 @@ def _cmd_run(args) -> int:
     if args.perf:
         from repro.obs import MetricsRegistry, collect_kernel
         reg = MetricsRegistry()
-        collect_kernel(reg, handle.sim)
+        collect_kernel(reg, handle.sim.stats())
         print(render_table(("counter", "value"),
                            reg.rows(prefix="kernel."),
                            title="event kernel"))
@@ -567,13 +567,13 @@ def _cmd_sweep(args) -> int:
               f"{args.out}")
     print(report.to_text())
     if args.perf:
-        from repro.obs import MetricsRegistry, collect_kernel_stats
+        from repro.obs import MetricsRegistry, collect_kernel
         for result in report.results:
             kernel = result.runstats.get("kernel")
             if not kernel:
                 continue
             reg = MetricsRegistry()
-            collect_kernel_stats(reg, kernel)
+            collect_kernel(reg, kernel)
             print(render_table(("counter", "value"),
                                reg.rows(prefix="kernel."),
                                title=f"event kernel: {result.run_id}"))

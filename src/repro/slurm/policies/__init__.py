@@ -1,7 +1,6 @@
 """Pluggable scheduling policies for slurmctld.
 
-The engine splits what used to be one hard-wired ``BackfillScheduler``
-into three pieces:
+The engine has three pieces:
 
 * :mod:`repro.slurm.policies.base` — the :class:`SchedulingPolicy`
   interface, :class:`ScheduleDecision`, and the name registry

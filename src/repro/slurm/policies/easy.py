@@ -3,9 +3,7 @@
 The highest-priority blocked job gets a reservation (its *shadow time*
 computed from running jobs' expected completions, which include staging
 E.T.A.s); lower-priority jobs may start only if they fit on
-non-reserved nodes or finish before the shadow time.  Decision-for-
-decision identical to the pre-engine ``BackfillScheduler`` default, so
-default-policy replay output is byte-stable across the refactor.
+non-reserved nodes or finish before the shadow time.
 
 The pass exposes three override hooks (queue order, reservation start,
 backfill completion estimate) so variants like the staging-aware

@@ -59,12 +59,9 @@ class SlurmConfig:
     data_aware_placement: bool = True
     #: Age factor for priorities (per second).
     age_weight: float = 1.0 / 3600.0
-    #: Legacy ablation switch: ``backfill=False`` selects the strict
-    #: FIFO policy, exactly as before the policy engine existed.
-    backfill: bool = True
     #: Scheduling-policy name from the :mod:`repro.slurm.policies`
     #: registry ("fifo", "backfill", "conservative", "staging-aware",
-    #: ...).  Empty = derive from the legacy ``backfill`` flag.
+    #: ...).  Empty = "backfill".
     policy: str = ""
     #: Keyword options forwarded to the policy constructor.
     policy_options: Optional[Dict[str, object]] = None
@@ -80,9 +77,7 @@ class SlurmConfig:
 
     def resolved_policy(self) -> str:
         """The effective policy name."""
-        if self.policy:
-            return self.policy
-        return "backfill" if self.backfill else "fifo"
+        return self.policy or "backfill"
 
 
 class _Knockout:

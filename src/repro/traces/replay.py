@@ -144,10 +144,6 @@ class ReplayReport:
     #: zero-fault checkpointed reports stay byte-identical to the
     #: non-checkpointed layout.
     checkpoints: Optional[object] = None
-    #: event-kernel counters (:meth:`Simulator.stats`), captured at
-    #: finalize time.  Rendered only by ``to_text(perf=True)`` so the
-    #: golden replay layout stays byte-identical across kernels.
-    kernel_stats: Optional[Dict[str, object]] = None
     #: unified :class:`repro.obs.MetricsRegistry` built at finalize —
     #: kernel, scheduler, urd, RPC, resilience and flow counters under
     #: canonical names.  The ``perf=True`` footer renders from it.
@@ -259,18 +255,11 @@ class ReplayReport:
                 parts.append(render_table(("metric", "value"),
                                           self.checkpoints.rows(),
                                           title="checkpoints"))
-        if perf:
-            if self.registry is not None:
-                parts.append(render_table(
-                    ("counter", "value"),
-                    self.registry.rows(prefix="kernel."),
-                    title="event kernel"))
-            elif self.kernel_stats is not None:
-                parts.append(render_table(
-                    ("counter", "value"),
-                    [(k, self.kernel_stats[k])
-                     for k in sorted(self.kernel_stats)],
-                    title="event kernel"))
+        if perf and self.registry is not None:
+            parts.append(render_table(
+                ("counter", "value"),
+                self.registry.rows(prefix="kernel."),
+                title="event kernel"))
         return "\n\n".join(parts) + "\n"
 
     def __str__(self) -> str:
@@ -603,7 +592,6 @@ class TraceReplayer:
             moved = sum(r.bytes_staged_in for r in records if r) \
                 + self._produced_bytes
             report.nvm_capacity_turnover = moved / (nvm_capacity * n_nodes)
-        report.kernel_stats = self.sim.stats()
         # The unified metrics registry: every report format (replay
         # text, fleet artifacts, experiment tables) renders subsystem
         # counters from this one snapshot.

@@ -12,8 +12,8 @@ Additions insert in place (bisect); removals only mark the cached list
 stale, and the next ordered view compacts it with a single O(n) filter
 — no re-sort ever happens after construction.
 
-Shared by the legacy :class:`~repro.slurm.scheduler.BackfillScheduler`
-and the :class:`~repro.slurm.policies.SchedulerState` engine.
+Used by :class:`~repro.slurm.policies.SchedulerState` and the
+scheduling policies that copy its free set.
 """
 
 from __future__ import annotations

@@ -301,11 +301,6 @@ class Field:
         self.ftype = ftype
         self.default = default
 
-    def initial(self) -> Any:
-        if self.default is not None:
-            return self.default
-        return self.ftype.zero()
-
 
 # ---------------------------------------------------------------------------
 # Compiled codec plans

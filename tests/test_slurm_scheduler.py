@@ -1,13 +1,13 @@
-"""Unit tests for the scheduling core (priorities, backfill, selector)
-and the staging coordinator's persist registry."""
+"""Unit tests for the scheduling core (priorities, selector) and the
+staging coordinator's persist registry."""
 
 import pytest
 
 from repro.slurm import (
-    BackfillScheduler, Job, JobSpec, NodeSelector, PersistRegistry,
-    PriorityCalculator, WorkflowManager,
+    Job, JobSpec, NodeSelector, PersistRegistry, PriorityCalculator,
+    WorkflowManager,
 )
-from repro.slurm.job import JobState, StageDirective
+from repro.slurm.job import StageDirective
 from repro.errors import SlurmError
 
 
@@ -43,52 +43,7 @@ class TestPriorities:
         assert calc.priority(late, 600.0, wm) > calc.priority(solo, 600.0)
 
 
-class TestBackfill:
-    def test_head_job_gets_nodes_first(self):
-        sched = BackfillScheduler()
-        a, b = job("a", nodes=2, submit=0.0), job("b", nodes=2, submit=1.0)
-        decisions = sched.schedule(10.0, [a, b], ["n0", "n1"], [])
-        assert len(decisions) == 1 and decisions[0].job is a
-
-    def test_backfill_fills_spare_nodes(self):
-        sched = BackfillScheduler()
-        blocked = job("big", nodes=4, submit=0.0)
-        small = job("small", nodes=1, submit=1.0, limit=10.0)
-        running = job("run", nodes=2, submit=0.0, limit=1000.0)
-        running.allocated_nodes = ("n2", "n3")
-        running.start_time = 0.0
-        running.set_state(JobState.RUNNING)
-        decisions = sched.schedule(5.0, [blocked, small], ["n0", "n1"],
-                                   [running])
-        names = {d.job.spec.name: d for d in decisions}
-        assert "big" not in names
-        assert names["small"].backfilled
-
-    def test_backfill_respects_reservation(self):
-        sched = BackfillScheduler()
-        blocked = job("big", nodes=3, submit=0.0)
-        # long job would delay the reservation on the reserved nodes.
-        long_job = job("long", nodes=2, submit=1.0, limit=100000.0)
-        running = job("run", nodes=2, submit=0.0, limit=50.0)
-        running.allocated_nodes = ("n1", "n2")
-        running.start_time = 0.0
-        running.set_state(JobState.RUNNING)
-        decisions = sched.schedule(5.0, [blocked, long_job], ["n0"],
-                                   [running])
-        assert decisions == []
-
-    def test_nodelist_pinning(self):
-        sched = BackfillScheduler()
-        pinned = job("pin", nodes=2, nodelist=("n3", "n1"))
-        decisions = sched.schedule(0.0, [pinned], ["n0", "n1", "n2", "n3"],
-                                   [])
-        assert decisions[0].nodes == ("n3", "n1")  # rank order preserved
-
-    def test_nodelist_blocks_until_nodes_free(self):
-        sched = BackfillScheduler()
-        pinned = job("pin", nodes=1, nodelist=("n9",))
-        assert sched.schedule(0.0, [pinned], ["n0", "n1"], []) == []
-
+class TestNodelist:
     def test_nodelist_length_validated(self):
         with pytest.raises(SlurmError):
             JobSpec(name="bad", nodes=2, nodelist=("n0",))
